@@ -123,6 +123,12 @@ pub struct AttackReport {
     pub cohorts: Vec<CohortBreakdown>,
 }
 
+/// A counter on the JSON writer's integer path, exact at any magnitude
+/// (an `f64` would round it past 2⁵³).
+fn count(n: usize) -> JsonValue {
+    JsonValue::Int(n as i128)
+}
+
 impl AttackReport {
     /// Looks up an attack-specific metric by name.
     pub fn metric(&self, name: &str) -> Option<f64> {
@@ -149,11 +155,11 @@ impl AttackReport {
         JsonValue::obj(vec![
             ("attack", JsonValue::Str(self.attack.clone())),
             ("dataset", JsonValue::Str(self.dataset.clone())),
-            ("population", JsonValue::Num(self.population as f64)),
-            ("trials", JsonValue::Num(self.trials as f64)),
+            ("population", count(self.population)),
+            ("trials", count(self.trials)),
             ("success_rate", JsonValue::Num(self.success_rate)),
             ("mean_anonymity", JsonValue::Num(self.mean_anonymity)),
-            ("min_anonymity", JsonValue::Num(self.min_anonymity as f64)),
+            ("min_anonymity", count(self.min_anonymity)),
             (
                 "metrics",
                 JsonValue::Arr(
@@ -176,7 +182,7 @@ impl AttackReport {
                         .map(|c| {
                             JsonValue::obj(vec![
                                 ("cohort", JsonValue::Str(c.cohort.clone())),
-                                ("trials", JsonValue::Num(c.trials as f64)),
+                                ("trials", count(c.trials)),
                                 ("success_rate", JsonValue::Num(c.success_rate)),
                             ])
                         })
@@ -339,6 +345,18 @@ mod tests {
         assert_eq!(report.metric("missing"), None);
         assert_eq!(report.cohort("night-shift").map(|c| c.trials), Some(24));
         assert_eq!(report.cohort("typical"), None);
+
+        // Counters ride the integer path: values past 2⁵³ survive exactly.
+        let big = (1usize << 53) + 1;
+        let mut report = sample_report();
+        report.population = big;
+        report.trials = big + 2;
+        report.min_anonymity = big + 4;
+        report.cohorts[0].trials = big + 6;
+        let text = report.to_value().render();
+        assert!(text.contains(&big.to_string()), "{text}");
+        let parsed = AttackReport::from_value(&JsonValue::parse(&text).unwrap()).unwrap();
+        assert_eq!(parsed, report);
     }
 
     #[test]

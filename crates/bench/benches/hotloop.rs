@@ -4,12 +4,13 @@
 //! Three monolithic runs over the same dataset pin down what each tier of
 //! the candidate-filter cascade buys:
 //!
-//! * **exact** — `pruning: false`: the paper's full-matrix kernel, every
+//! * **exact** — `oracle::anonymize`: the paper's full-matrix kernel, every
 //!   candidate pair evaluated to completion (the byte-identity anchor);
-//! * **pre-cascade** — `pruning: true, cascade: false`: the hull-bound-only
-//!   pruner that predates the cascade (tier 1 alone);
-//! * **cascade** — the default: tier-0 bit-packed signatures, tier-1 hulls
-//!   and tier-2 early-abandoned exact evaluations.
+//! * **pre-cascade** — `oracle::anonymize_hull_only`: the production loop
+//!   with the cascade forced off, the hull-bound-only pruner that predates
+//!   the cascade (tier 1 alone);
+//! * **cascade** — the production loop: tier-0 bit-packed signatures,
+//!   tier-1 hulls and tier-2 early-abandoned exact evaluations.
 //!
 //! All three must publish byte-identical datasets and agree on
 //! `pairs_computed + pairs_pruned` (every candidate is decided exactly
@@ -25,19 +26,19 @@
 
 use glove_bench::metro_bench_dataset;
 use glove_core::glove::{anonymize, GloveOutput};
-use glove_core::GloveConfig;
+use glove_core::{oracle, Dataset, GloveConfig, GloveError};
 use std::time::Instant;
 
-fn run(ds: &glove_core::Dataset, pruning: bool, cascade: bool) -> (f64, GloveOutput) {
+type Engine = fn(&Dataset, &GloveConfig) -> Result<GloveOutput, GloveError>;
+
+fn run(ds: &Dataset, engine: Engine) -> (f64, GloveOutput) {
     let config = GloveConfig {
         k: 2,
         threads: 0,
-        pruning,
-        cascade,
         ..GloveConfig::default()
     };
     let started = Instant::now();
-    let out = anonymize(ds, &config).expect("anonymization succeeds");
+    let out = engine(ds, &config).expect("anonymization succeeds");
     (started.elapsed().as_secs_f64(), out)
 }
 
@@ -56,12 +57,12 @@ fn main() {
     let ds = metro_bench_dataset(users);
     let samples = ds.num_samples();
 
-    eprintln!("[hotloop] exact run (pruning off)…");
-    let (exact_s, exact) = run(&ds, false, false);
+    eprintln!("[hotloop] exact run (full-matrix oracle)…");
+    let (exact_s, exact) = run(&ds, oracle::anonymize);
     eprintln!("[hotloop] pre-cascade run (hull bound only)…");
-    let (hull_s, hull) = run(&ds, true, false);
+    let (hull_s, hull) = run(&ds, oracle::anonymize_hull_only);
     eprintln!("[hotloop] cascade run (signatures + hulls + early abandon)…");
-    let (casc_s, casc) = run(&ds, true, true);
+    let (casc_s, casc) = run(&ds, anonymize);
 
     // Exactness anchors: the cascade is a pure filter — all three modes
     // publish byte-identical datasets, and every candidate the exact kernel

@@ -2,8 +2,8 @@
 //! `metro_like` scenario, emitting a BENCH JSON point.
 //!
 //! Unlike the Criterion-shimmed benches, this target measures full runs
-//! directly (monolithic, `--shards 8`, and the sharded run again with the
-//! distance cascade off for the before/after delta), prints a `BENCH {...}`
+//! directly (monolithic and `--shards 8`; the sharded output is checked
+//! against the full-matrix oracle's sharded run), prints a `BENCH {...}`
 //! line and writes the same JSON point to `BENCH_sharded_e2e.json` in the
 //! working directory, so CI can archive the speedup trajectory across
 //! commits.
@@ -16,7 +16,7 @@
 use glove_bench::metro_bench_dataset;
 use glove_core::api::RunBuilder;
 use glove_core::glove::anonymize;
-use glove_core::{GloveConfig, ShardPolicy};
+use glove_core::{oracle, GloveConfig, ShardPolicy};
 use std::time::Instant;
 
 const SHARDS: usize = 8;
@@ -25,20 +25,21 @@ const SHARDS: usize = 8;
 /// run-API overhead bound (the recorded JSON carries the raw ratio).
 const OVERHEAD_SLACK_S: f64 = 0.25;
 
-fn run(
-    ds: &glove_core::Dataset,
-    shard: Option<ShardPolicy>,
-    cascade: bool,
-) -> (f64, glove_core::glove::GloveOutput) {
-    let config = GloveConfig {
+fn config(shard: Option<ShardPolicy>) -> GloveConfig {
+    GloveConfig {
         k: 2,
         threads: 0,
         shard,
-        cascade,
         ..GloveConfig::default()
-    };
+    }
+}
+
+fn run(
+    ds: &glove_core::Dataset,
+    shard: Option<ShardPolicy>,
+) -> (f64, glove_core::glove::GloveOutput) {
     let started = Instant::now();
-    let out = anonymize(ds, &config).expect("anonymization succeeds");
+    let out = anonymize(ds, &config(shard)).expect("anonymization succeeds");
     (started.elapsed().as_secs_f64(), out)
 }
 
@@ -58,20 +59,24 @@ fn main() {
     let samples = ds.num_samples();
 
     eprintln!("[sharded_e2e] monolithic run…");
-    let (mono_s, mono) = run(&ds, None, true);
+    let (mono_s, mono) = run(&ds, None);
     eprintln!("[sharded_e2e] sharded run ({SHARDS} activity shards)…");
-    let (shard_s, sharded) = run(&ds, Some(ShardPolicy::activity(SHARDS)), true);
+    let (shard_s, sharded) = run(&ds, Some(ShardPolicy::activity(SHARDS)));
 
-    // The same sharded run with the distance cascade off (tier-1 hull
-    // pruning only): the before/after delta of the hot-loop cascade, on
-    // record in the JSON. The cascade is a pure filter, so the published
-    // output must not move.
-    eprintln!("[sharded_e2e] sharded run, cascade off (before/after delta)…");
-    let (precascade_s, precascade) = run(&ds, Some(ShardPolicy::activity(SHARDS)), false);
-    let cascade_speedup = precascade_s / shard_s.max(1e-9);
+    // The same sharded run on the full-matrix oracle: pruning and the
+    // cascade are pure filters, so the published output must not move and
+    // every pair the oracle evaluates is decided exactly once.
+    eprintln!("[sharded_e2e] sharded oracle run (byte-identity anchor)…");
+    let exact = oracle::anonymize(&ds, &config(Some(ShardPolicy::activity(SHARDS))))
+        .expect("oracle run succeeds");
     assert_eq!(
-        precascade.dataset.fingerprints, sharded.dataset.fingerprints,
-        "cascade changed the sharded output"
+        exact.dataset.fingerprints, sharded.dataset.fingerprints,
+        "the sharded output diverged from the full-matrix oracle"
+    );
+    assert_eq!(
+        sharded.stats.candidate_pairs(),
+        exact.stats.pairs_computed,
+        "sharded candidate decisions do not cover the oracle's pairs"
     );
 
     // The same sharded run through the unified run API: output must be
@@ -117,7 +122,6 @@ fn main() {
         "{{\"name\":\"sharded_e2e\",\"scenario\":\"metro_like\",\"users\":{users},\
          \"samples\":{samples},\"shards\":{SHARDS},\"mode\":\"{}\",\
          \"monolithic_s\":{mono_s:.3},\"sharded_s\":{shard_s:.3},\"speedup\":{speedup:.2},\
-         \"sharded_precascade_s\":{precascade_s:.3},\"cascade_speedup\":{cascade_speedup:.2},\
          \"sharded_api_s\":{api_s:.3},\"api_overhead_pct\":{api_overhead_pct:.2},\
          \"monolithic_pairs\":{},\"sharded_pairs\":{},\
          \"monolithic_pruned\":{},\"sharded_pruned\":{},\
@@ -157,6 +161,6 @@ fn main() {
     }
     println!(
         "sharded_e2e/metro_{users}: monolithic {mono_s:.2}s, {SHARDS} shards {shard_s:.2}s \
-         -> {speedup:.1}x (cascade {cascade_speedup:.1}x over hull-only {precascade_s:.2}s)"
+         -> {speedup:.1}x"
     );
 }

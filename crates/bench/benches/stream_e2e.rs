@@ -2,9 +2,9 @@
 //! scenario, emitting a BENCH JSON point.
 //!
 //! Like `sharded_e2e`, this target measures full runs directly rather than
-//! through the Criterion shim: one monolithic batch run and streamed runs
-//! (daily windows, fresh carry) over the same events — with the distance
-//! cascade on and off for the before/after delta — printing a
+//! through the Criterion shim: one monolithic batch run and a streamed run
+//! (daily windows, fresh carry) over the same events — its epochs checked
+//! against the full-matrix oracle's streamed run — printing a
 //! `BENCH {...}` line and writing the JSON point to
 //! `BENCH_stream_e2e.json` so CI can archive the trajectory.
 //!
@@ -23,6 +23,7 @@
 use glove_bench::metro_bench_dataset;
 use glove_core::api::{NullObserver, RunBuilder};
 use glove_core::glove::anonymize;
+use glove_core::oracle;
 use glove_core::stream::{events_of, run_stream};
 use glove_core::{CarryPolicy, GloveConfig, StreamConfig, UnderKPolicy};
 use std::time::Instant;
@@ -66,33 +67,17 @@ fn main() {
         run_stream(ds.name.clone(), events.iter().copied(), config).expect("streamed run succeeds");
     let stream_s = started.elapsed().as_secs_f64();
 
-    // The same streamed run with the distance cascade off (tier-1 hull
-    // pruning only): the before/after delta of the hot-loop cascade, on
-    // record in the JSON. Daily metro windows hold ~4 samples per
-    // fingerprint — below the cascade's mean-length engagement gate — so
-    // the delta here is expected to sit near 1.0 (the gate exists exactly
-    // because tier 0 measured ~0.8x on this workload); the batch-regime
-    // delta lives in BENCH_hotloop.json. The cascade is a pure filter, so
-    // every epoch's published output must not move.
-    eprintln!("[stream_e2e] streamed run, cascade off (before/after delta)…");
-    let precascade_config = StreamConfig {
-        glove: GloveConfig {
-            cascade: false,
-            ..GloveConfig::default()
-        },
-        ..config
-    };
-    let started = Instant::now();
-    let precascade = run_stream(ds.name.clone(), events.iter().copied(), precascade_config)
-        .expect("streamed run succeeds");
-    let precascade_s = started.elapsed().as_secs_f64();
-    let cascade_speedup = precascade_s / stream_s.max(1e-9);
-    assert_eq!(precascade.epochs.len(), run.epochs.len());
-    for (before, after) in precascade.epochs.iter().zip(&run.epochs) {
+    // The same streamed run on the full-matrix oracle: pruning is a pure
+    // filter, so every epoch's published output must not move.
+    eprintln!("[stream_e2e] streamed oracle run (byte-identity anchor)…");
+    let exact = oracle::run_stream(ds.name.clone(), events.iter().copied(), config)
+        .expect("oracle streamed run succeeds");
+    assert_eq!(exact.epochs.len(), run.epochs.len());
+    for (exact, pruned) in exact.epochs.iter().zip(&run.epochs) {
         assert_eq!(
-            before.output.dataset.fingerprints, after.output.dataset.fingerprints,
-            "cascade changed the streamed output at epoch {}",
-            after.epoch
+            exact.output.dataset.fingerprints, pruned.output.dataset.fingerprints,
+            "the streamed output diverged from the full-matrix oracle at epoch {}",
+            pruned.epoch
         );
     }
 
@@ -174,7 +159,6 @@ fn main() {
         "{{\"name\":\"stream_e2e\",\"scenario\":\"metro_like\",\"users\":{users},\
          \"samples\":{samples},\"events\":{},\"window_min\":{WINDOW_MIN},\"mode\":\"{}\",\
          \"batch_s\":{batch_s:.3},\"stream_s\":{stream_s:.3},\"stream_api_s\":{api_s:.3},\
-         \"stream_precascade_s\":{precascade_s:.3},\"cascade_speedup\":{cascade_speedup:.2},\
          \"api_overhead_pct\":{api_overhead_pct:.2},\"events_per_s\":{events_per_s:.0},\
          \"epochs\":{},\"peak_resident_fingerprints\":{},\"max_window_users\":{max_window_users},\
          \"peak_resident_samples\":{},\"suppressed_user_slices\":{},\
@@ -215,8 +199,7 @@ fn main() {
     }
     println!(
         "stream_e2e/metro_{users}: batch {batch_s:.2}s, streamed {stream_s:.2}s \
-         (cascade {cascade_speedup:.1}x over hull-only {precascade_s:.2}s; \
-         {} daily epochs, {events_per_s:.0} events/s, peak {} fps / {} samples resident \
+         ({} daily epochs, {events_per_s:.0} events/s, peak {} fps / {} samples resident \
          vs {} total)",
         run.stats.epochs,
         run.stats.peak_resident_fingerprints,

@@ -328,8 +328,8 @@ fn detail_from_value(v: &JsonValue) -> Result<RunDetail, String> {
 
 fn ledger_to_value(ledger: &SuppressionLedger) -> JsonValue {
     JsonValue::obj(vec![
-        ("samples", num(ledger.samples as f64)),
-        ("user_samples", num(ledger.user_samples as f64)),
+        ("samples", uint(ledger.samples)),
+        ("user_samples", uint(ledger.user_samples)),
     ])
 }
 
@@ -787,6 +787,11 @@ mod tests {
         report.pairs_computed = (1u64 << 53) + 1;
         report.pairs_pruned = u64::MAX;
         report.merges = (1u64 << 60) + 7;
+        let RunDetail::Glove(stats) = &mut report.detail else {
+            panic!("the sample report carries a glove detail")
+        };
+        stats.suppressed.samples = (1u64 << 53) + 1;
+        stats.suppressed.user_samples = (1u64 << 53) + 3;
         let json = report.to_json();
         assert!(
             json.contains(&((1u64 << 53) + 1).to_string()),
@@ -796,6 +801,9 @@ mod tests {
         assert_eq!(parsed.pairs_computed, (1u64 << 53) + 1);
         assert_eq!(parsed.pairs_pruned, u64::MAX);
         assert_eq!(parsed.merges, (1u64 << 60) + 7);
+        let suppressed = parsed.detail.as_glove().unwrap().suppressed;
+        assert_eq!(suppressed.samples, (1u64 << 53) + 1);
+        assert_eq!(suppressed.user_samples, (1u64 << 53) + 3);
         assert_eq!(parsed, report);
     }
 

@@ -328,7 +328,7 @@ impl PackedPage {
 /// corner (24 bytes per sample, no per-fingerprint heap allocation). The
 /// Eq. (10) stretch kernels and the tier-0/1/2 cascade read the pages
 /// directly through [`StoreSlice`], which implements
-/// [`SampleSeq`] — the same generic arithmetic as the reference path, so
+/// [`SampleSeq`] — the same generic arithmetic as over a `&[Sample]`, so
 /// results are byte-identical.
 ///
 /// Fingerprints whose coordinate extent does not fit a `u32` offset window
@@ -487,17 +487,6 @@ enum SliceRepr<'a> {
         len: usize,
     },
     Wide(&'a [Sample]),
-}
-
-impl<'a> StoreSlice<'a> {
-    /// Wraps a plain sample slice, so `Vec<Sample>`-backed fingerprints and
-    /// store-backed spans flow through one concrete operand type.
-    #[inline]
-    pub fn wide(samples: &'a [Sample]) -> Self {
-        Self {
-            repr: SliceRepr::Wide(samples),
-        }
-    }
 }
 
 impl SampleSeq for StoreSlice<'_> {

@@ -265,8 +265,8 @@ pub struct StreamConfig {
     /// Policy for windows whose population falls below `k`.
     pub under_k: UnderKPolicy,
     /// The per-epoch GLOVE configuration (k, stretch, suppression, sharding,
-    /// pruning, threads) — each closed window is anonymized with exactly
-    /// this configuration.
+    /// threads) — each closed window is anonymized with exactly this
+    /// configuration.
     pub glove: GloveConfig,
 }
 
@@ -313,33 +313,6 @@ pub struct GloveConfig {
     /// Optional sharding policy. `None` (the default) runs the monolithic
     /// Alg. 1 over the whole dataset.
     pub shard: Option<ShardPolicy>,
-    /// Admissible pair pruning: skip full Eq. 10 evaluations whose
-    /// hull-derived lower bound proves they cannot be a row minimum. The
-    /// published output is byte-identical with pruning on or off (the bound
-    /// is admissible, not approximate); only `pairs_computed` shrinks.
-    /// Default: true.
-    pub pruning: bool,
-    /// Distance cascade on top of pruning: seed candidate pairs with the
-    /// bit-packed tier-0 signature bound of `core::compact` before the hull
-    /// bound, and let surviving exact evaluations abandon early once their
-    /// partial mean proves them out of contention. Only active when
-    /// `pruning` is on, and the engine engages it only when the mean
-    /// fingerprint length clears a small threshold — for short fingerprints
-    /// the exact kernel is cheaper than the filter, so the run falls back
-    /// to hull-only pruning. The published output stays byte-identical either
-    /// way — the cascade only changes how much work each decision costs
-    /// (`pairs_skipped_tier0`/`pairs_skipped_tier1`/`pairs_abandoned`
-    /// record where candidates were dismissed). Default: true.
-    pub cascade: bool,
-    /// Columnar sample storage: keep the arena's samples in the bit-packed
-    /// struct-of-arrays pages of `core::compact::SampleStore` (24 bytes per
-    /// sample, no per-fingerprint heap allocation) instead of one
-    /// `Vec<Sample>` per fingerprint. The stretch kernels read the pages
-    /// directly through the same generic arithmetic as the reference
-    /// layout, so the published output is byte-identical either way; only
-    /// the memory footprint changes (see `GloveStats::ledger`).
-    /// Default: true.
-    pub columnar: bool,
 }
 
 impl Default for GloveConfig {
@@ -352,9 +325,6 @@ impl Default for GloveConfig {
             reshape: true,
             threads: 0,
             shard: None,
-            pruning: true,
-            cascade: true,
-            columnar: true,
         }
     }
 }

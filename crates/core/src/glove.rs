@@ -29,19 +29,21 @@
 //!   enough (see `global_best`).
 //! * Matrix construction and row recomputation fan out over
 //!   [`crate::parallel`], the stand-in for the paper's GPU kernel.
-//! * With [`GloveConfig::pruning`] on (the default), matrix cells hold an
-//!   admissible lower bound on Eq. 10 until an exact value is actually
-//!   needed to decide a row minimum. Bounds escalate through a cascade of
-//!   tiers (see DESIGN.md "Distance cascade"): tier 0 is the bit-packed
-//!   popcount signature bound of [`crate::compact`], tier 1 the hull bound
-//!   of [`crate::stretch::stretch_lower_bound`], tier 2 the exact — but
-//!   cutoff-aware, early-abandoning — Eq. 10 evaluation of
-//!   [`crate::stretch::fingerprint_stretch_cutoff`]. [`GloveConfig::cascade`]
-//!   gates tiers 0 and the early abandonment, and the loop additionally
-//!   engages them only when fingerprints are long enough for the filter to
-//!   pay for itself (`CASCADE_MIN_MEAN_SAMPLES`); otherwise it degrades to the
-//!   plain hull-bound pruning of earlier revisions. Either way the
-//!   published output is byte-identical to the unpruned path.
+//! * Matrix cells hold an admissible lower bound on Eq. 10 until an exact
+//!   value is actually needed to decide a row minimum. Bounds escalate
+//!   through a cascade of tiers (see DESIGN.md "Distance cascade"): tier 0
+//!   is the bit-packed popcount signature bound of [`crate::compact`], tier
+//!   1 the hull bound of [`crate::stretch::stretch_lower_bound`], tier 2 the
+//!   exact — but cutoff-aware, early-abandoning — Eq. 10 evaluation of
+//!   [`crate::stretch::fingerprint_stretch_cutoff`]. Tier 0 and the early
+//!   abandonment engage only when fingerprints are long enough for the
+//!   filter to pay for itself (`CASCADE_MIN_MEAN_SAMPLES`); otherwise the
+//!   loop runs on the hull bound alone. Either way the published output is
+//!   byte-identical to the paper's full-matrix loop, which the `oracle`
+//!   feature keeps as a test oracle.
+//! * Samples live in the columnar [`SampleStore`]: bit-packed
+//!   struct-of-arrays pages the stretch kernels read directly, one span per
+//!   slot, with the user lists kept out of the hot data.
 //! * Hull summaries are maintained *incrementally*: a merge that suppresses
 //!   no samples unions the parents' hulls in O(1) instead of rescanning the
 //!   merged fingerprint ([`StretchHull::union`]); suppressing merges fall
@@ -69,7 +71,6 @@ use crate::stretch::{
     StretchEval, StretchHull, StretchOperand, StretchProgress,
 };
 use crate::suppress::SuppressionLedger;
-use std::borrow::Cow;
 use std::time::Instant;
 
 /// Statistics of one GLOVE run.
@@ -79,22 +80,22 @@ pub struct GloveStats {
     pub merges: u64,
     /// Number of fingerprint-pair stretch efforts computed *to completion*
     /// (full Eq. 10 evaluations) — the unit of the paper's §6.3 throughput
-    /// figure. With pruning on, only pairs no cascade tier could rule out
-    /// are counted here; the rest land in `pairs_pruned`.
+    /// figure. Only pairs no cascade tier could rule out are counted here;
+    /// the rest land in `pairs_pruned`.
     pub pairs_computed: u64,
     /// Distinct pairs whose full Eq. 10 evaluation was never needed: some
     /// tier of the admissible distance cascade ruled them out of every row
-    /// minimum they participated in (0 when pruning is disabled). Always
-    /// equals `pairs_skipped_tier0 + pairs_skipped_tier1 + pairs_abandoned`,
-    /// and `pairs_computed + pairs_pruned` equals the number of pairs the
-    /// unpruned kernel would have evaluated.
+    /// minimum they participated in. Always equals `pairs_skipped_tier0 +
+    /// pairs_skipped_tier1 + pairs_abandoned`, and `pairs_computed +
+    /// pairs_pruned` equals the number of pairs the paper's full-matrix
+    /// loop evaluates.
     pub pairs_pruned: u64,
     /// Pairs dismissed by the tier-0 bit-packed signature bound alone:
-    /// their hull bound was never even computed. 0 when
-    /// [`GloveConfig::cascade`] is off or the run's mean fingerprint length
-    /// sits below the engagement gate (the hull tier then fields every
-    /// pair). Pairs involving an already-k-anonymous input fingerprint are
-    /// counted here in cascade runs — no tier ever needs to look at them.
+    /// their hull bound was never even computed. 0 when the run's mean
+    /// fingerprint length sits below the cascade's engagement gate (the
+    /// hull tier then fields every pair). Pairs involving an
+    /// already-k-anonymous input fingerprint are counted here in cascade
+    /// runs — no tier ever needs to look at them.
     pub pairs_skipped_tier0: u64,
     /// Pairs dismissed by the tier-1 hull bound: promoted past the
     /// signature tier but never worth starting an exact evaluation.
@@ -102,7 +103,7 @@ pub struct GloveStats {
     /// Pairs whose exact evaluation was *started* but abandoned early (tier
     /// 2): the partial Eq. 10 mean proved them strictly above every cutoff
     /// they were ever tested against, so the evaluation never ran to
-    /// completion. 0 when [`GloveConfig::cascade`] is off or not engaged.
+    /// completion. 0 when the cascade is not engaged.
     pub pairs_abandoned: u64,
     /// Per-shard breakdown when the run was sharded (empty for monolithic
     /// runs).
@@ -127,9 +128,8 @@ pub struct GloveStats {
 impl GloveStats {
     /// Total pair decisions made: every candidate pair was either evaluated
     /// in full (`pairs_computed`) or dismissed by an admissible cascade
-    /// tier (`pairs_pruned`). This is the work the unpruned kernel would
-    /// have evaluated exactly, making throughput figures comparable across
-    /// pruning configurations.
+    /// tier (`pairs_pruned`). This is the work the paper's full-matrix loop
+    /// evaluates exactly, making throughput figures comparable with it.
     pub fn candidate_pairs(&self) -> u64 {
         self.pairs_computed + self.pairs_pruned
     }
@@ -197,8 +197,8 @@ const TIER_EXACT: u8 = 3;
 /// stream `f64`s and tier tests stream bytes instead of interleaving both
 /// through one encoded cell. The progress column carries the saved prefix
 /// of partially evaluated cells so a re-escalated cell resumes its exact
-/// scan instead of restarting from sample zero; unpruned runs leave it
-/// empty (every cell is exact on creation, so it is never read).
+/// scan instead of restarting from sample zero. Rows of slots that were
+/// already done when appended stay empty in all three columns.
 #[derive(Debug, Clone, Default)]
 struct PairPage {
     val: Vec<f64>,
@@ -216,7 +216,7 @@ struct PairPage {
 /// evaluation completed (counted in `GloveStats::pairs_computed`).
 #[derive(Debug, Clone, Copy, Default)]
 struct CascadeCounters {
-    /// Bound cells created (every pair the unpruned kernel would evaluate).
+    /// Bound cells created (every pair the full-matrix loop evaluates).
     created: u64,
     /// Cells that reached the hull tier (in hull-only runs, all of them).
     hulled: u64,
@@ -341,7 +341,7 @@ impl CellRow for LocalRow<'_> {
 /// candidate whose exact effort equals the final minimum
 /// always survives every tier and is evaluated in full — which keeps
 /// tie-breaking, and hence the published output, byte-identical to the
-/// unpruned scan.
+/// full-matrix scan.
 #[allow(clippy::too_many_arguments)]
 fn cascade_walk<R: CellRow>(
     mut cand: Vec<(f64, usize)>,
@@ -472,181 +472,78 @@ fn global_best(active: &[usize], row_min: &[RowMin], threads: usize) -> (usize, 
     })
 }
 
-/// Backing storage of the arena's fingerprints: either the classic
-/// one-`Vec<Sample>`-per-fingerprint reference layout, or the columnar
-/// [`SampleStore`] whose packed pages the kernels read directly.
-///
-/// Both layouts expose the same [`StretchOperand<StoreSlice>`] operand, so
-/// the hot loop is written once against one concrete type and the published
-/// output is byte-identical across layouts (the generic kernels run the
-/// same arithmetic over both).
-enum SlotSamples {
-    /// Reference layout: whole fingerprints, one heap allocation each.
-    Reference(Vec<Fingerprint>),
-    /// Columnar layout: samples bit-packed in struct-of-arrays pages,
-    /// per-slot spans, and the user lists kept out of the hot data.
-    Columnar {
-        store: SampleStore,
-        spans: Vec<SampleSpan>,
-        users: Vec<Vec<UserId>>,
-    },
+/// The arena's fingerprints in the columnar [`SampleStore`]: samples
+/// bit-packed in struct-of-arrays pages the kernels read directly, one
+/// span per slot, and the user lists kept out of the hot data.
+struct Slots {
+    store: SampleStore,
+    spans: Vec<SampleSpan>,
+    users: Vec<Vec<UserId>>,
 }
 
-impl SlotSamples {
-    fn of(dataset: &Dataset, columnar: bool) -> Self {
-        if columnar {
-            let mut store = SampleStore::new();
-            let mut spans = Vec::with_capacity(dataset.fingerprints.len());
-            let mut users = Vec::with_capacity(dataset.fingerprints.len());
-            for fp in &dataset.fingerprints {
-                spans.push(store.push(fp.samples()));
-                users.push(fp.users().to_vec());
-            }
-            Self::Columnar {
-                store,
-                spans,
-                users,
-            }
-        } else {
-            Self::Reference(dataset.fingerprints.clone())
+impl Slots {
+    fn of(dataset: &Dataset) -> Self {
+        let mut slots = Slots {
+            store: SampleStore::new(),
+            spans: Vec::with_capacity(dataset.fingerprints.len()),
+            users: Vec::with_capacity(dataset.fingerprints.len()),
+        };
+        for fp in &dataset.fingerprints {
+            slots.push(fp);
         }
+        slots
     }
 
     fn len(&self) -> usize {
-        match self {
-            Self::Reference(fps) => fps.len(),
-            Self::Columnar { spans, .. } => spans.len(),
-        }
+        self.spans.len()
     }
 
     fn multiplicity(&self, i: usize) -> usize {
-        match self {
-            Self::Reference(fps) => fps[i].multiplicity(),
-            Self::Columnar { users, .. } => users[i].len(),
-        }
+        self.users[i].len()
     }
 
-    /// The kernel operand of slot `i` — one concrete type for both layouts,
-    /// so the hot loop needs no generic dispatch of its own.
+    /// The kernel operand of slot `i`.
     #[inline]
     fn operand(&self, i: usize) -> StretchOperand<StoreSlice<'_>> {
-        match self {
-            Self::Reference(fps) => StretchOperand {
-                samples: StoreSlice::wide(fps[i].samples()),
-                multiplicity: fps[i].multiplicity(),
-            },
-            Self::Columnar {
-                store,
-                spans,
-                users,
-            } => StretchOperand {
-                samples: store.slice(spans[i]),
-                multiplicity: users[i].len(),
-            },
+        StretchOperand {
+            samples: self.store.slice(self.spans[i]),
+            multiplicity: self.users[i].len(),
         }
     }
 
-    /// Slot `i` as a fingerprint: borrowed on the reference path,
-    /// materialized bit-identically from the pages on the columnar path.
-    fn fingerprint(&self, i: usize) -> Cow<'_, Fingerprint> {
-        match self {
-            Self::Reference(fps) => Cow::Borrowed(&fps[i]),
-            Self::Columnar {
-                store,
-                spans,
-                users,
-            } => Cow::Owned(
-                Fingerprint::with_users(users[i].clone(), store.materialize(spans[i]))
-                    .expect("stored fingerprints preserve the model invariants"),
-            ),
-        }
+    /// Slot `i` as a fingerprint, materialized bit-identically from the
+    /// pages.
+    fn fingerprint(&self, i: usize) -> Fingerprint {
+        Fingerprint::with_users(self.users[i].clone(), self.store.materialize(self.spans[i]))
+            .expect("stored fingerprints preserve the model invariants")
     }
 
-    fn push(&mut self, fp: Fingerprint) {
-        match self {
-            Self::Reference(fps) => fps.push(fp),
-            Self::Columnar {
-                store,
-                spans,
-                users,
-            } => {
-                spans.push(store.push(fp.samples()));
-                users.push(fp.users().to_vec());
-            }
-        }
+    fn push(&mut self, fp: &Fingerprint) {
+        self.spans.push(self.store.push(fp.samples()));
+        self.users.push(fp.users().to_vec());
     }
 
-    fn replace(&mut self, i: usize, fp: Fingerprint) {
-        match self {
-            Self::Reference(fps) => fps[i] = fp,
-            Self::Columnar {
-                store,
-                spans,
-                users,
-            } => {
-                // The old span's samples become garbage in the store; the
-                // next compaction (or run end) drops them.
-                spans[i] = store.push(fp.samples());
-                users[i] = fp.users().to_vec();
-            }
-        }
+    /// Overwrites slot `i`. The old span's samples become garbage in the
+    /// store; the next compaction (or run end) drops them.
+    fn replace(&mut self, i: usize, fp: &Fingerprint) {
+        self.spans[i] = self.store.push(fp.samples());
+        self.users[i] = fp.users().to_vec();
     }
 
     /// Keeps only `old_ids`, in order — the slot side of arena compaction.
-    /// The columnar store is rebuilt densely, dropping retired samples.
+    /// The store is rebuilt densely, dropping retired samples.
     fn compacted(&mut self, old_ids: &[usize]) {
-        match self {
-            Self::Reference(fps) => {
-                let mut out = Vec::with_capacity(old_ids.len());
-                for &i in old_ids {
-                    out.push(std::mem::replace(
-                        &mut fps[i],
-                        Fingerprint::with_users(
-                            vec![0],
-                            vec![crate::model::Sample::point(0, 0, 0)],
-                        )
-                        .expect("placeholder"),
-                    ));
-                }
-                *fps = out;
-            }
-            Self::Columnar {
-                store,
-                spans,
-                users,
-            } => {
-                let live: Vec<SampleSpan> = old_ids.iter().map(|&i| spans[i]).collect();
-                let (new_store, new_spans) = store.rebuilt(&live);
-                *store = new_store;
-                *spans = new_spans;
-                *users = old_ids
-                    .iter()
-                    .map(|&i| std::mem::take(&mut users[i]))
-                    .collect();
-            }
-        }
-    }
-
-    /// Bytes held by columnar sample pages (0 on the reference layout,
-    /// whose samples are scattered across per-fingerprint allocations).
-    fn store_bytes(&self) -> u64 {
-        match self {
-            Self::Reference(_) => 0,
-            Self::Columnar { store, .. } => store.bytes(),
-        }
-    }
-
-    /// Resident columnar pages (0 on the reference layout).
-    fn resident_pages(&self) -> u64 {
-        match self {
-            Self::Reference(_) => 0,
-            Self::Columnar { store, .. } => store.resident_pages(),
-        }
+        let live: Vec<SampleSpan> = old_ids.iter().map(|&i| self.spans[i]).collect();
+        (self.store, self.spans) = self.store.rebuilt(&live);
+        self.users = old_ids
+            .iter()
+            .map(|&i| std::mem::take(&mut self.users[i]))
+            .collect();
     }
 }
 
 struct Arena {
-    slots: SlotSamples,
+    slots: Slots,
     states: Vec<SlotState>,
     /// Per-slot k requirement: the maximum policy k over the slot's member
     /// users. Uniform runs hold `config.k` everywhere; merged slots take
@@ -656,7 +553,7 @@ struct Arena {
     /// incrementally on merge.
     hulls: Vec<StretchHull>,
     /// Per-slot bit-packed signatures feeding the tier-0 bound; empty when
-    /// the cascade is off.
+    /// the cascade is not engaged.
     sigs: Vec<CompactSignature>,
     /// Lower-triangular effort matrix in struct-of-arrays pages:
     /// `pages[i]` holds columns `0..i`.
@@ -683,7 +580,7 @@ impl Arena {
     /// The result is the exact minimum by `(value, partner)`: every cell
     /// whose exact effort could equal the final minimum survives every tier
     /// and is evaluated before the walk stops, so ties break on the same
-    /// partner the unpruned scan would pick.
+    /// partner the full-matrix scan would pick.
     fn rescan_row_min(
         &mut self,
         i: usize,
@@ -779,10 +676,6 @@ impl Arena {
             // appended mid-run have empty rows, so copying their entries
             // would be both wrong and out of bounds.
             let i_active = self.states[old_i] == SlotState::Active;
-            // Unpruned runs never track progress (`prog` stays empty), and
-            // the empty rows of Done slots appended mid-run have none to
-            // copy either; their placeholder cells are never read.
-            let track_prog = !self.pages[old_i].prog.is_empty();
             let mut val = Vec::with_capacity(new_i);
             let mut tier = Vec::with_capacity(new_i);
             let mut prog = Vec::with_capacity(new_i);
@@ -791,11 +684,7 @@ impl Arena {
                     let (v, t) = self.cell(old_i, old_j);
                     val.push(v);
                     tier.push(t);
-                    prog.push(if track_prog {
-                        self.pages[old_i].prog[old_j]
-                    } else {
-                        StretchProgress::start()
-                    });
+                    prog.push(self.pages[old_i].prog[old_j]);
                 } else {
                     val.push(f64::INFINITY);
                     tier.push(TIER_EXACT);
@@ -849,7 +738,7 @@ impl Arena {
     /// true peaks without per-round scans.
     fn observe(&self, ledger: &mut MemoryLedger) {
         ledger.observe_arena(self.bytes());
-        ledger.observe_store(self.slots.store_bytes(), self.slots.resident_pages());
+        ledger.observe_store(self.slots.store.bytes(), self.slots.store.resident_pages());
     }
 }
 
@@ -887,6 +776,23 @@ pub fn anonymize_with_plan(
     config: &GloveConfig,
     plan: Option<&KPlan>,
 ) -> Result<GloveOutput, GloveError> {
+    anonymize_via(dataset, config, plan, run_monolithic)
+}
+
+/// The per-arena Alg. 1 run the batch, shard and stream engines call: in
+/// production [`run_monolithic`]; the `oracle` feature substitutes the
+/// full-matrix loop to obtain exact reference runs through the same
+/// engines.
+pub(crate) type ArenaRun =
+    fn(&Dataset, &GloveConfig, Option<&KPlan>) -> Result<GloveOutput, GloveError>;
+
+/// [`anonymize_with_plan`] with the per-arena run supplied by the caller.
+pub(crate) fn anonymize_via(
+    dataset: &Dataset,
+    config: &GloveConfig,
+    plan: Option<&KPlan>,
+    run: ArenaRun,
+) -> Result<GloveOutput, GloveError> {
     config.validate()?;
     if dataset.fingerprints.is_empty() {
         return Err(GloveError::InvalidDataset(
@@ -914,30 +820,41 @@ pub fn anonymize_with_plan(
     }
     match config.shard {
         Some(policy) if policy.shards > 1 => {
-            crate::shard::anonymize_sharded(dataset, config, policy, plan)
+            crate::shard::anonymize_sharded(dataset, config, policy, plan, run)
         }
-        _ => run_monolithic(dataset, config, plan),
+        _ => run(dataset, config, plan),
     }
 }
 
 /// The monolithic Alg. 1 loop over one (possibly shard-sized) dataset.
 /// Callers guarantee a validated config and a non-empty dataset holding at
 /// least `k` subscribers (the plan's deepest k when one is given).
+///
+/// Engages the cascade only where the filter is cheaper than what it
+/// filters (see `CASCADE_MIN_MEAN_SAMPLES`); sharded and streamed runs pass
+/// through here per arena, so the gate adapts to each arena's population.
 pub(crate) fn run_monolithic(
     dataset: &Dataset,
     config: &GloveConfig,
     plan: Option<&KPlan>,
+) -> Result<GloveOutput, GloveError> {
+    let cascade = dataset.num_samples() >= CASCADE_MIN_MEAN_SAMPLES * dataset.fingerprints.len();
+    run_arena(dataset, config, plan, cascade)
+}
+
+/// The pruned Alg. 1 loop, with the distance cascade (tier 0 and early
+/// abandonment) engaged or not; the hull-bound tier always runs.
+pub(crate) fn run_arena(
+    dataset: &Dataset,
+    config: &GloveConfig,
+    plan: Option<&KPlan>,
+    cascade: bool,
 ) -> Result<GloveOutput, GloveError> {
     let started = Instant::now();
     let mut stats = GloveStats::default();
     let threads = config.threads;
     let cfg = &config.stretch;
     let n = dataset.fingerprints.len();
-    // Engage the cascade only where the filter is cheaper than what it
-    // filters (see `CASCADE_MIN_MEAN_SAMPLES`); sharded runs pass through
-    // here per shard, so the gate adapts to each shard's population.
-    let cascade =
-        config.pruning && config.cascade && dataset.num_samples() >= CASCADE_MIN_MEAN_SAMPLES * n;
     let space = SignatureSpace::of(cfg);
     let init_tier = if cascade { TIER_SIG } else { TIER_HULL };
 
@@ -952,7 +869,7 @@ pub(crate) fn run_monolithic(
         .map(|f| plan.map_or(config.k, |p| p.required_k(f.users()).max(config.k)))
         .collect();
     let mut arena = Arena {
-        slots: SlotSamples::of(dataset, config.columnar),
+        slots: Slots::of(dataset),
         states: dataset
             .fingerprints
             .iter()
@@ -992,102 +909,81 @@ pub(crate) fn run_monolithic(
         .filter(|&i| arena.states[i] == SlotState::Active)
         .collect();
 
-    // Triangular matrix, rows in parallel. Pruned runs seed every
-    // Active–Active cell with the cheapest admissible bound of the cascade
-    // (tier-0 signature with the cascade on, tier-1 hull without) and,
+    // Triangular matrix, rows in parallel. Every Active–Active cell is
+    // seeded with the cheapest admissible bound of the cascade (tier-0
+    // signature with the cascade engaged, tier-1 hull without) and,
     // still inside the parallel row pass, walk the row's candidates in
     // ascending-bound order escalating tiers exactly until the bounds rule
     // the rest out — so the bulk of the exact efforts is computed in
     // parallel and the sequential row-minimum rescans below only top up
     // cells a row-local walk cannot see (j > i). Cells with an
     // already-k-anonymous endpoint are created but never read, so they stay
-    // at the cheapest tier without even a bound computation. Unpruned runs
-    // evaluate everything up front (the paper's full-matrix GPU kernel).
-    if config.pruning {
-        let hulls_ref = &arena.hulls;
-        let sigs_ref = &arena.sigs;
-        let slots_ref = &arena.slots;
-        let states_ref = &arena.states;
-        let rows: Vec<(PairPage, CascadeCounters, u64)> = par_map(n, threads, |i| {
-            let mut val = Vec::with_capacity(i);
-            let mut tier = Vec::with_capacity(i);
-            let mut prog = vec![StretchProgress::start(); i];
-            let mut cand: Vec<(f64, usize)> = Vec::new();
-            let mut counters = CascadeCounters {
-                created: i as u64,
-                ..CascadeCounters::default()
-            };
-            if !cascade {
-                counters.hulled += i as u64;
-            }
-            for j in 0..i {
-                if states_ref[i] == SlotState::Active && states_ref[j] == SlotState::Active {
-                    let b = if cascade {
-                        signature_lower_bound(&sigs_ref[i], &sigs_ref[j], cfg, &space)
-                    } else {
-                        stretch_lower_bound(&hulls_ref[i], &hulls_ref[j], cfg)
-                    };
-                    val.push(b);
-                    tier.push(init_tier);
-                    cand.push((b, j));
-                } else {
-                    val.push(f64::INFINITY);
-                    tier.push(init_tier);
-                }
-            }
-            let mut best = RowMin {
-                value: f64::INFINITY,
-                partner: NO_PARTNER,
-            };
-            let mut computed = 0u64;
-            let mut row = LocalRow {
-                val: &mut val,
-                tier: &mut tier,
-                prog: &mut prog,
-            };
-            cascade_walk(
-                cand,
-                &mut best,
-                &mut row,
-                |j| stretch_lower_bound(&hulls_ref[i], &hulls_ref[j], cfg),
-                |j, cutoff, prog| {
-                    fingerprint_stretch_cutoff_resume_seq(
-                        slots_ref.operand(i),
-                        slots_ref.operand(j),
-                        cfg,
-                        cutoff,
-                        prog,
-                    )
-                },
-                cascade,
-                &mut counters,
-                &mut computed,
-            );
-            (PairPage { val, tier, prog }, counters, computed)
-        });
-        for (page, counters, computed) in rows {
-            stats.pairs_computed += computed;
-            arena.counters.absorb(counters);
-            arena.pages.push(page);
+    // at the cheapest tier without even a bound computation.
+    let hulls_ref = &arena.hulls;
+    let sigs_ref = &arena.sigs;
+    let slots_ref = &arena.slots;
+    let states_ref = &arena.states;
+    let rows: Vec<(PairPage, CascadeCounters, u64)> = par_map(n, threads, |i| {
+        let mut val = Vec::with_capacity(i);
+        let mut tier = Vec::with_capacity(i);
+        let mut prog = vec![StretchProgress::start(); i];
+        let mut cand: Vec<(f64, usize)> = Vec::new();
+        let mut counters = CascadeCounters {
+            created: i as u64,
+            ..CascadeCounters::default()
+        };
+        if !cascade {
+            counters.hulled += i as u64;
         }
-    } else {
-        let slots_ref = &arena.slots;
-        arena.pages = par_map(n, threads, |i| {
-            let mut val = Vec::with_capacity(i);
-            for j in 0..i {
-                val.push(fingerprint_stretch_seq(
+        for j in 0..i {
+            if states_ref[i] == SlotState::Active && states_ref[j] == SlotState::Active {
+                let b = if cascade {
+                    signature_lower_bound(&sigs_ref[i], &sigs_ref[j], cfg, &space)
+                } else {
+                    stretch_lower_bound(&hulls_ref[i], &hulls_ref[j], cfg)
+                };
+                val.push(b);
+                tier.push(init_tier);
+                cand.push((b, j));
+            } else {
+                val.push(f64::INFINITY);
+                tier.push(init_tier);
+            }
+        }
+        let mut best = RowMin {
+            value: f64::INFINITY,
+            partner: NO_PARTNER,
+        };
+        let mut computed = 0u64;
+        let mut row = LocalRow {
+            val: &mut val,
+            tier: &mut tier,
+            prog: &mut prog,
+        };
+        cascade_walk(
+            cand,
+            &mut best,
+            &mut row,
+            |j| stretch_lower_bound(&hulls_ref[i], &hulls_ref[j], cfg),
+            |j, cutoff, prog| {
+                fingerprint_stretch_cutoff_resume_seq(
                     slots_ref.operand(i),
                     slots_ref.operand(j),
                     cfg,
-                ));
-            }
-            PairPage {
-                tier: vec![TIER_EXACT; i],
-                val,
-                prog: Vec::new(),
-            }
-        });
-        stats.pairs_computed += (n as u64) * (n as u64 - 1) / 2;
+                    cutoff,
+                    prog,
+                )
+            },
+            cascade,
+            &mut counters,
+            &mut computed,
+        );
+        (PairPage { val, tier, prog }, counters, computed)
+    });
+    for (page, counters, computed) in rows {
+        stats.pairs_computed += computed;
+        arena.counters.absorb(counters);
+        arena.pages.push(page);
     }
 
     let actives: Vec<usize> = arena.active.clone();
@@ -1105,11 +1001,12 @@ pub(crate) fn run_monolithic(
         debug_assert_ne!(b, NO_PARTNER, "active set of >= 2 must yield a pair");
 
         // Merge and retire (lines 5–8).
-        let outcome = {
-            let fa = arena.slots.fingerprint(a);
-            let fb = arena.slots.fingerprint(b);
-            merge_fingerprints(&fa, &fb, cfg, &config.suppression)?
-        };
+        let outcome = merge_fingerprints(
+            &arena.slots.fingerprint(a),
+            &arena.slots.fingerprint(b),
+            cfg,
+            &config.suppression,
+        )?;
         let merge_dropped = outcome.suppressed.samples;
         stats.merges += 1;
         stats.suppressed.absorb(outcome.suppressed);
@@ -1145,7 +1042,7 @@ pub(crate) fn run_monolithic(
                 .sigs
                 .push(CompactSignature::of(&outcome.fingerprint, &space));
         }
-        arena.slots.push(outcome.fingerprint);
+        arena.slots.push(&outcome.fingerprint);
         arena.pages.push(PairPage::default());
         arena.row_min.push(RowMin {
             value: f64::INFINITY,
@@ -1175,217 +1072,162 @@ pub(crate) fn run_monolithic(
             arena.states.push(SlotState::Active);
             let partners = arena.active.clone();
 
-            if config.pruning {
-                // Seed every candidate with the cheapest bound, then walk
-                // in ascending-bound order escalating tiers until the
-                // bounds alone rule the remainder out.
-                let mut val = vec![f64::INFINITY; m];
-                let mut tier = vec![TIER_EXACT; m];
-                let mut prog = vec![StretchProgress::start(); m];
-                let mut cand: Vec<(f64, usize)> = Vec::with_capacity(partners.len());
-                for &j in &partners {
-                    let b = if cascade {
-                        signature_lower_bound(&arena.sigs[m], &arena.sigs[j], cfg, &space)
-                    } else {
-                        stretch_lower_bound(&arena.hulls[m], &arena.hulls[j], cfg)
-                    };
-                    val[j] = b;
-                    tier[j] = init_tier;
-                    cand.push((b, j));
-                }
-                arena.counters.created += partners.len() as u64;
-                if !cascade {
-                    arena.counters.hulled += partners.len() as u64;
-                }
-                let mut new_min = RowMin {
-                    value: f64::INFINITY,
-                    partner: NO_PARTNER,
+            // Seed every candidate with the cheapest bound, then walk
+            // in ascending-bound order escalating tiers until the
+            // bounds alone rule the remainder out.
+            let mut val = vec![f64::INFINITY; m];
+            let mut tier = vec![TIER_EXACT; m];
+            let mut prog = vec![StretchProgress::start(); m];
+            let mut cand: Vec<(f64, usize)> = Vec::with_capacity(partners.len());
+            for &j in &partners {
+                let b = if cascade {
+                    signature_lower_bound(&arena.sigs[m], &arena.sigs[j], cfg, &space)
+                } else {
+                    stretch_lower_bound(&arena.hulls[m], &arena.hulls[j], cfg)
                 };
-                let mut computed = 0u64;
-                {
-                    let Arena {
-                        ref slots,
-                        ref hulls,
-                        ref mut counters,
-                        ..
-                    } = arena;
-                    let mut row = LocalRow {
-                        val: &mut val,
-                        tier: &mut tier,
-                        prog: &mut prog,
-                    };
-                    cascade_walk(
-                        cand,
-                        &mut new_min,
-                        &mut row,
-                        |j| stretch_lower_bound(&hulls[m], &hulls[j], cfg),
-                        |j, cutoff, prog| {
-                            fingerprint_stretch_cutoff_resume_seq(
-                                slots.operand(m),
-                                slots.operand(j),
-                                cfg,
-                                cutoff,
-                                prog,
-                            )
-                        },
-                        cascade,
-                        counters,
-                        &mut computed,
-                    );
-                }
-                stats.pairs_computed += computed;
-                arena.pages[m] = PairPage { val, tier, prog };
-                arena.row_min[m] = new_min;
-
-                // Partners whose minimum pointed at a retired slot rescan
-                // first (their iterations are independent of the updates
-                // below: rescans touch cells among pre-existing slots,
-                // updates only the new slot's row). The stale set is fixed
-                // *before* rescanning: a rescanned row does not fold the
-                // newcomer in this round (its rescan ran while `m` was not
-                // yet active), exactly like the unpruned path — folding it
-                // would shift tie attribution and the merge order.
-                let stale_rows: Vec<usize> = partners
-                    .iter()
-                    .copied()
-                    .filter(|&j| {
-                        let p = arena.row_min[j].partner;
-                        p == a || p == b
-                    })
-                    .collect();
-                for &j in &stale_rows {
-                    arena.rescan_row_min(j, cfg, cascade, &mut stats);
-                }
-                // The rest only escalate the new pair's cell while its
-                // bound could actually beat their cached minimum (a tie
-                // never wins: `m` is the largest id).
+                val[j] = b;
+                tier[j] = init_tier;
+                cand.push((b, j));
+            }
+            arena.counters.created += partners.len() as u64;
+            if !cascade {
+                arena.counters.hulled += partners.len() as u64;
+            }
+            let mut new_min = RowMin {
+                value: f64::INFINITY,
+                partner: NO_PARTNER,
+            };
+            let mut computed = 0u64;
+            {
                 let Arena {
                     ref slots,
                     ref hulls,
-                    ref mut pages,
                     ref mut counters,
-                    ref mut row_min,
                     ..
                 } = arena;
-                let mut computed = 0u64;
-                for &j in &partners {
-                    if stale_rows.binary_search(&j).is_ok() {
-                        continue;
-                    }
-                    let (mut val, mut tier) = (pages[m].val[j], pages[m].tier[j]);
-                    let d = if tier == TIER_EXACT {
-                        val
-                    } else {
-                        if val >= row_min[j].value {
-                            continue;
-                        }
-                        if tier == TIER_SIG {
-                            counters.hulled += 1;
-                            // Admissible but incomparable bounds: keep the
-                            // larger (see `cascade_walk`).
-                            val = stretch_lower_bound(&hulls[m], &hulls[j], cfg).max(val);
-                            tier = TIER_HULL;
-                            pages[m].val[j] = val;
-                            pages[m].tier[j] = tier;
-                            if val >= row_min[j].value {
-                                continue;
-                            }
-                        }
-                        let cutoff = if cascade {
-                            row_min[j].value
-                        } else {
-                            f64::INFINITY
-                        };
-                        match fingerprint_stretch_cutoff_resume_seq(
+                let mut row = LocalRow {
+                    val: &mut val,
+                    tier: &mut tier,
+                    prog: &mut prog,
+                };
+                cascade_walk(
+                    cand,
+                    &mut new_min,
+                    &mut row,
+                    |j| stretch_lower_bound(&hulls[m], &hulls[j], cfg),
+                    |j, cutoff, prog| {
+                        fingerprint_stretch_cutoff_resume_seq(
                             slots.operand(m),
                             slots.operand(j),
                             cfg,
                             cutoff,
-                            &mut pages[m].prog[j],
-                        ) {
-                            StretchEval::Exact(d) => {
-                                if tier == TIER_PARTIAL {
-                                    counters.exact_from_partial += 1;
-                                } else {
-                                    counters.exact_from_hull += 1;
-                                }
-                                computed += 1;
-                                pages[m].val[j] = d;
-                                pages[m].tier[j] = TIER_EXACT;
-                                d
-                            }
-                            StretchEval::AtLeast(p) => {
-                                if tier != TIER_PARTIAL {
-                                    counters.entered_partial += 1;
-                                }
-                                pages[m].val[j] = p;
-                                pages[m].tier[j] = TIER_PARTIAL;
-                                continue;
-                            }
-                        }
-                    };
-                    if d < row_min[j].value || (d == row_min[j].value && m < row_min[j].partner) {
-                        row_min[j] = RowMin {
-                            value: d,
-                            partner: m,
-                        };
-                    }
-                }
-                stats.pairs_computed += computed;
-            } else {
-                // Unpruned: the full new row, in parallel.
-                let slots_ref = &arena.slots;
-                let dists = par_map(partners.len(), threads, |idx| {
-                    fingerprint_stretch_seq(
-                        slots_ref.operand(m),
-                        slots_ref.operand(partners[idx]),
-                        cfg,
-                    )
-                });
-                stats.pairs_computed += partners.len() as u64;
+                            prog,
+                        )
+                    },
+                    cascade,
+                    counters,
+                    &mut computed,
+                );
+            }
+            stats.pairs_computed += computed;
+            arena.pages[m] = PairPage { val, tier, prog };
+            arena.row_min[m] = new_min;
 
-                // Fill the new slot's triangular row (it is the largest id,
-                // so everything fits in pages[m]).
-                arena.pages[m] = PairPage {
-                    val: vec![f64::INFINITY; m],
-                    tier: vec![TIER_EXACT; m],
-                    prog: Vec::new(),
-                };
-                let mut new_min = RowMin {
-                    value: f64::INFINITY,
-                    partner: NO_PARTNER,
-                };
-                for (idx, &j) in partners.iter().enumerate() {
-                    let d = dists[idx];
-                    arena.pages[m].val[j] = d;
-                    if d < new_min.value || (d == new_min.value && j < new_min.partner) {
-                        new_min = RowMin {
-                            value: d,
-                            partner: j,
-                        };
-                    }
-                }
-                arena.row_min[m] = new_min;
-
-                // Update the partners' cached minima against the newcomer,
-                // and rescan rows whose minimum pointed at a retired slot.
-                for (idx, &j) in partners.iter().enumerate() {
+            // Partners whose minimum pointed at a retired slot rescan
+            // first (their iterations are independent of the updates
+            // below: rescans touch cells among pre-existing slots,
+            // updates only the new slot's row). The stale set is fixed
+            // *before* rescanning: a rescanned row does not fold the
+            // newcomer in this round (its rescan ran while `m` was not
+            // yet active), exactly like the full-matrix loop — folding it
+            // would shift tie attribution and the merge order.
+            let stale_rows: Vec<usize> = partners
+                .iter()
+                .copied()
+                .filter(|&j| {
                     let p = arena.row_min[j].partner;
-                    if p == a || p == b {
-                        arena.rescan_row_min(j, cfg, cascade, &mut stats);
-                    } else {
-                        let d = dists[idx];
-                        if d < arena.row_min[j].value
-                            || (d == arena.row_min[j].value && m < arena.row_min[j].partner)
-                        {
-                            arena.row_min[j] = RowMin {
-                                value: d,
-                                partner: m,
-                            };
+                    p == a || p == b
+                })
+                .collect();
+            for &j in &stale_rows {
+                arena.rescan_row_min(j, cfg, cascade, &mut stats);
+            }
+            // The rest only escalate the new pair's cell while its
+            // bound could actually beat their cached minimum (a tie
+            // never wins: `m` is the largest id).
+            let Arena {
+                ref slots,
+                ref hulls,
+                ref mut pages,
+                ref mut counters,
+                ref mut row_min,
+                ..
+            } = arena;
+            let mut computed = 0u64;
+            for &j in &partners {
+                if stale_rows.binary_search(&j).is_ok() {
+                    continue;
+                }
+                let (mut val, mut tier) = (pages[m].val[j], pages[m].tier[j]);
+                let d = if tier == TIER_EXACT {
+                    val
+                } else {
+                    if val >= row_min[j].value {
+                        continue;
+                    }
+                    if tier == TIER_SIG {
+                        counters.hulled += 1;
+                        // Admissible but incomparable bounds: keep the
+                        // larger (see `cascade_walk`).
+                        val = stretch_lower_bound(&hulls[m], &hulls[j], cfg).max(val);
+                        tier = TIER_HULL;
+                        pages[m].val[j] = val;
+                        pages[m].tier[j] = tier;
+                        if val >= row_min[j].value {
+                            continue;
                         }
                     }
+                    let cutoff = if cascade {
+                        row_min[j].value
+                    } else {
+                        f64::INFINITY
+                    };
+                    match fingerprint_stretch_cutoff_resume_seq(
+                        slots.operand(m),
+                        slots.operand(j),
+                        cfg,
+                        cutoff,
+                        &mut pages[m].prog[j],
+                    ) {
+                        StretchEval::Exact(d) => {
+                            if tier == TIER_PARTIAL {
+                                counters.exact_from_partial += 1;
+                            } else {
+                                counters.exact_from_hull += 1;
+                            }
+                            computed += 1;
+                            pages[m].val[j] = d;
+                            pages[m].tier[j] = TIER_EXACT;
+                            d
+                        }
+                        StretchEval::AtLeast(p) => {
+                            if tier != TIER_PARTIAL {
+                                counters.entered_partial += 1;
+                            }
+                            pages[m].val[j] = p;
+                            pages[m].tier[j] = TIER_PARTIAL;
+                            continue;
+                        }
+                    }
+                };
+                if d < row_min[j].value || (d == row_min[j].value && m < row_min[j].partner) {
+                    row_min[j] = RowMin {
+                        value: d,
+                        partner: m,
+                    };
                 }
             }
+            stats.pairs_computed += computed;
             arena.active.push(m);
         }
 
@@ -1428,14 +1270,15 @@ pub(crate) fn run_monolithic(
                     .min_by(|(i, x), (j, y)| x.partial_cmp(y).unwrap().then(i.cmp(j)))
                     .expect("done is non-empty");
                 let target = done[best_idx];
-                let outcome = {
-                    let ft = arena.slots.fingerprint(target);
-                    let fr = arena.slots.fingerprint(r);
-                    merge_fingerprints(&ft, &fr, cfg, &config.suppression)?
-                };
+                let outcome = merge_fingerprints(
+                    &arena.slots.fingerprint(target),
+                    &arena.slots.fingerprint(r),
+                    cfg,
+                    &config.suppression,
+                )?;
                 stats.merges += 1;
                 stats.suppressed.absorb(outcome.suppressed);
-                arena.slots.replace(target, outcome.fingerprint);
+                arena.slots.replace(target, &outcome.fingerprint);
                 arena.states[r] = SlotState::Retired;
             }
             ResidualPolicy::Suppress => {
@@ -1450,7 +1293,7 @@ pub(crate) fn run_monolithic(
     let mut published = Vec::new();
     for i in 0..arena.states.len() {
         if arena.states[i] == SlotState::Done {
-            let mut fp = arena.slots.fingerprint(i).into_owned();
+            let mut fp = arena.slots.fingerprint(i);
             if config.reshape {
                 stats.reshaped_samples +=
                     reshape_suppressed(&mut fp, &config.suppression, &mut stats.suppressed)? as u64;
@@ -1481,6 +1324,7 @@ mod tests {
     use super::*;
     use crate::config::{GloveConfig, SuppressionThresholds};
     use crate::model::Sample;
+    use crate::oracle;
 
     fn toy_dataset(n: usize) -> Dataset {
         // n users in two spatial clusters with slightly jittered times.
@@ -1512,21 +1356,14 @@ mod tests {
         assert!(out.dataset.is_k_anonymous(2));
         assert_eq!(out.dataset.num_users(), 20);
         assert!(out.stats.merges >= 10);
-        // The unpruned path evaluates the full matrix; pruning may only
+        // The full-matrix oracle evaluates every pair; pruning may only
         // reduce the count, never change the published output.
-        let unpruned = anonymize(
-            &ds,
-            &GloveConfig {
-                pruning: false,
-                ..GloveConfig::default()
-            },
-        )
-        .unwrap();
+        let unpruned = oracle::anonymize(&ds, &GloveConfig::default()).unwrap();
         assert!(unpruned.stats.pairs_computed >= 190);
         assert_eq!(unpruned.stats.pairs_pruned, 0);
         assert!(out.stats.pairs_computed <= unpruned.stats.pairs_computed);
         // Computed + distinct-pruned accounts for exactly the pairs the
-        // unpruned kernel evaluates.
+        // full-matrix loop evaluates.
         assert_eq!(
             out.stats.pairs_computed + out.stats.pairs_pruned,
             unpruned.stats.pairs_computed
@@ -1559,29 +1396,15 @@ mod tests {
     #[test]
     fn cascade_tiers_account_for_every_pair_and_stay_byte_identical() {
         let ds = long_toy_dataset(24);
-        let unpruned = anonymize(
-            &ds,
-            &GloveConfig {
-                pruning: false,
-                ..GloveConfig::default()
-            },
-        )
-        .unwrap();
+        let unpruned = oracle::anonymize(&ds, &GloveConfig::default()).unwrap();
         assert_eq!(unpruned.stats.pairs_skipped_tier0, 0);
         assert_eq!(unpruned.stats.pairs_skipped_tier1, 0);
         assert_eq!(unpruned.stats.pairs_abandoned, 0);
 
         // Hull-only pruning (the pre-cascade comparator) and the full
-        // cascade must both reproduce the unpruned output byte for byte
+        // cascade must both reproduce the full-matrix output byte for byte
         // and account for every candidate pair exactly once.
-        let hull_only = anonymize(
-            &ds,
-            &GloveConfig {
-                cascade: false,
-                ..GloveConfig::default()
-            },
-        )
-        .unwrap();
+        let hull_only = oracle::anonymize_hull_only(&ds, &GloveConfig::default()).unwrap();
         let cascade = anonymize(&ds, &GloveConfig::default()).unwrap();
         for out in [&hull_only, &cascade] {
             assert_eq!(out.dataset.fingerprints, unpruned.dataset.fingerprints);
@@ -1619,14 +1442,7 @@ mod tests {
         // semantic one).
         let ds = toy_dataset(20);
         let gated = anonymize(&ds, &GloveConfig::default()).unwrap();
-        let hull_only = anonymize(
-            &ds,
-            &GloveConfig {
-                cascade: false,
-                ..GloveConfig::default()
-            },
-        )
-        .unwrap();
+        let hull_only = oracle::anonymize_hull_only(&ds, &GloveConfig::default()).unwrap();
         assert_eq!(gated.stats.pairs_skipped_tier0, 0);
         assert_eq!(gated.stats.pairs_abandoned, 0);
         assert_eq!(gated.dataset.fingerprints, hull_only.dataset.fingerprints);
@@ -1770,15 +1586,7 @@ mod tests {
         assert!(out.dataset.is_k_anonymous(5));
         assert_eq!(out.dataset.num_users(), 64);
         // Compaction must not disturb the exactness anchor either.
-        let unpruned = anonymize(
-            &ds,
-            &GloveConfig {
-                k: 5,
-                pruning: false,
-                ..GloveConfig::default()
-            },
-        )
-        .unwrap();
+        let unpruned = oracle::anonymize(&ds, &cfg).unwrap();
         assert_eq!(out.dataset.fingerprints, unpruned.dataset.fingerprints);
         assert_eq!(
             out.stats.pairs_computed + out.stats.pairs_pruned,

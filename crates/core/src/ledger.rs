@@ -24,11 +24,9 @@ pub struct MemoryLedger {
     /// Peak bytes held by the pairwise-distance arena (pages, hulls,
     /// signatures, row minima) over the run.
     pub peak_arena_bytes: u64,
-    /// Peak bytes held by the columnar sample store's pages over the run
-    /// (zero when the engine runs on the `Vec<Sample>` reference path).
+    /// Peak bytes held by the columnar sample store's pages over the run.
     pub peak_store_bytes: u64,
-    /// Columnar pages resident when the store peaked (zero on the
-    /// reference path).
+    /// Columnar pages resident when the store peaked.
     pub resident_pages: u64,
     /// Process peak resident-set size (`VmHWM` from `/proc/self/status`)
     /// captured at the end of the run; 0 on platforms without procfs.

@@ -28,7 +28,7 @@
 //! * [`reshape`] — resolution of temporal overlaps in merged fingerprints;
 //! * [`glove`] — Algorithm 1: greedy global merging until every published
 //!   fingerprint hides at least `k` subscribers, with admissible pair
-//!   pruning;
+//!   pruning and a distance cascade over a columnar sample store;
 //! * [`compact`] — bit-packed occupancy signatures: the popcount/XOR tier-0
 //!   filter of the distance cascade inside the greedy merge;
 //! * [`shard`] — the sharded engine: activity/spatially bucketed partitions
@@ -47,7 +47,10 @@
 //! * [`api`] — the unified run API: the [`api::Anonymizer`] trait over
 //!   every engine (including the baselines adapters of `glove-baselines`),
 //!   the [`api::RunBuilder`] mode selector, [`api::Observer`] progress
-//!   hooks and the serializable [`api::RunReport`].
+//!   hooks and the serializable [`api::RunReport`];
+//! * `oracle` (cargo feature `oracle`, for tests and benches only) — the
+//!   paper's full-matrix Alg. 1 as the exact reference the production loop
+//!   must match byte for byte.
 //!
 //! ## Quickstart
 //!
@@ -84,6 +87,8 @@ pub mod kgap;
 pub mod ledger;
 pub mod merge;
 pub mod model;
+#[cfg(feature = "oracle")]
+pub mod oracle;
 pub mod parallel;
 pub mod policy;
 pub mod reshape;

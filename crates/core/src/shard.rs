@@ -31,7 +31,7 @@
 
 use crate::config::{GloveConfig, ShardBy, ShardPolicy};
 use crate::error::GloveError;
-use crate::glove::{run_monolithic, GloveOutput, GloveStats};
+use crate::glove::{ArenaRun, GloveOutput, GloveStats};
 use crate::ledger::MemoryLedger;
 use crate::model::{Dataset, Fingerprint};
 use crate::parallel::par_map;
@@ -193,15 +193,16 @@ fn centroid(fp: &Fingerprint) -> MetricPoint {
     MetricPoint { x: x / n, y: y / n }
 }
 
-/// Runs GLOVE shard by shard and stitches the outputs. Called by
-/// [`crate::glove::anonymize`] when the config carries a [`ShardPolicy`]
-/// with more than one shard; callers guarantee a validated config and a
-/// dataset holding at least `k` subscribers.
+/// Runs GLOVE shard by shard — `run` once per shard — and stitches the
+/// outputs. Called by [`crate::glove::anonymize`] when the config carries
+/// a [`ShardPolicy`] with more than one shard; callers guarantee a
+/// validated config and a dataset holding at least `k` subscribers.
 pub(crate) fn anonymize_sharded(
     dataset: &Dataset,
     config: &GloveConfig,
     policy: ShardPolicy,
     plan: Option<&KPlan>,
+    run: ArenaRun,
 ) -> Result<GloveOutput, GloveError> {
     let started = Instant::now();
     let chunks = partition(dataset, &policy, config);
@@ -254,7 +255,7 @@ pub(crate) fn anonymize_sharded(
     }
 
     let outputs = par_map(shard_inputs.len(), config.threads, |s| {
-        run_monolithic(&shard_inputs[s], &inner, plan)
+        run(&shard_inputs[s], &inner, plan)
     });
 
     let mut stats = GloveStats::default();

@@ -57,7 +57,7 @@
 
 use crate::config::{CarryPolicy, GloveConfig, StreamConfig, UnderKPolicy};
 use crate::error::GloveError;
-use crate::glove::{anonymize_with_plan, GloveOutput};
+use crate::glove::{anonymize_via, run_monolithic, ArenaRun, GloveOutput};
 use crate::ledger::MemoryLedger;
 use crate::merge::merge_fingerprints;
 use crate::model::{Dataset, Fingerprint, Sample, UserId};
@@ -232,6 +232,9 @@ pub struct StreamRun {
 pub struct StreamEngine {
     name: String,
     config: StreamConfig,
+    /// The per-epoch Alg. 1 run: the pruned loop (`run_monolithic`) in
+    /// production, the full-matrix loop for `oracle` reference runs.
+    run: ArenaRun,
     /// The policy plane resolved at every window boundary. The uniform
     /// plane (the default) reproduces `config` for every epoch.
     policy: SharedPolicy,
@@ -287,6 +290,7 @@ impl StreamEngine {
         Ok(Self {
             name: name.into(),
             config,
+            run: run_monolithic,
             policy,
             window_open: false,
             window_start: 0,
@@ -317,6 +321,13 @@ impl StreamEngine {
     /// Statistics accumulated so far.
     pub fn stats(&self) -> &StreamStats {
         &self.stats
+    }
+
+    /// The engine with its per-epoch Alg. 1 run replaced.
+    #[cfg(feature = "oracle")]
+    pub(crate) fn with_arena_run(mut self, run: ArenaRun) -> Self {
+        self.run = run;
+        self
     }
 
     /// Consumes one event. Returns the epoch output of the window the event
@@ -487,7 +498,7 @@ impl StreamEngine {
             ..self.config.glove
         };
         let started = Instant::now();
-        let output = anonymize_with_plan(&epoch_ds, &glove, self.plan.as_ref())?;
+        let output = anonymize_via(&epoch_ds, &glove, self.plan.as_ref(), self.run)?;
         let elapsed_s = started.elapsed().as_secs_f64();
 
         // Remember group memberships for the next epoch's seeds.
@@ -616,7 +627,14 @@ pub fn run_stream_with_policy(
     config: StreamConfig,
     policy: SharedPolicy,
 ) -> Result<StreamRun, GloveError> {
-    let mut engine = StreamEngine::with_policy(name, config, policy)?;
+    drain(StreamEngine::with_policy(name, config, policy)?, events)
+}
+
+/// Feeds every event through `engine` and collects all epoch outputs.
+pub(crate) fn drain(
+    mut engine: StreamEngine,
+    events: impl IntoIterator<Item = StreamEvent>,
+) -> Result<StreamRun, GloveError> {
     let mut epochs = Vec::new();
     for event in events {
         if let Some(epoch) = engine.push(event)? {

@@ -4,7 +4,8 @@
 //!   sharded output preserves the ≥ k guarantee for every published
 //!   fingerprint and conserves users (none lost except those counted in
 //!   `discarded_users`).
-//! * **Exactness** — pruned and unpruned GLOVE produce identical `Dataset`
+//! * **Exactness** — the pruned production loop and the unpruned
+//!   full-matrix oracle (`glove_core::oracle`) produce identical `Dataset`
 //!   serializations and identical `merges` counts on randomized inputs: the
 //!   lower bound is admissible, not approximate.
 //! * **Cascade admissibility** — the tier-0 popcount bound from bit-packed
@@ -14,6 +15,7 @@
 
 use glove_core::compact::{signature_lower_bound, CompactSignature, SignatureSpace};
 use glove_core::glove::anonymize;
+use glove_core::oracle;
 use glove_core::stretch::{
     fingerprint_stretch, fingerprint_stretch_cutoff_resume, StretchEval, StretchProgress,
 };
@@ -142,10 +144,9 @@ proptest! {
         ds in arb_dataset(4..=14),
         k in 2usize..=3,
     ) {
-        let pruned_cfg = GloveConfig { k, threads: 1, pruning: true, ..GloveConfig::default() };
-        let unpruned_cfg = GloveConfig { k, threads: 1, pruning: false, ..GloveConfig::default() };
-        let pruned = anonymize(&ds, &pruned_cfg).expect("pruned run succeeds");
-        let unpruned = anonymize(&ds, &unpruned_cfg).expect("unpruned run succeeds");
+        let cfg = GloveConfig { k, threads: 1, ..GloveConfig::default() };
+        let pruned = anonymize(&ds, &cfg).expect("pruned run succeeds");
+        let unpruned = oracle::anonymize(&ds, &cfg).expect("unpruned run succeeds");
         prop_assert_eq!(
             serialize(&pruned.dataset),
             serialize(&unpruned.dataset),
@@ -156,7 +157,10 @@ proptest! {
             pruned.stats.suppressed.user_samples,
             unpruned.stats.suppressed.user_samples
         );
-        prop_assert!(pruned.stats.pairs_computed <= unpruned.stats.pairs_computed);
+        prop_assert_eq!(
+            pruned.stats.pairs_computed + pruned.stats.pairs_pruned,
+            unpruned.stats.pairs_computed
+        );
         prop_assert_eq!(unpruned.stats.pairs_pruned, 0u64);
     }
 
@@ -172,10 +176,8 @@ proptest! {
             threads: 1,
             ..GloveConfig::default()
         };
-        let pruned = anonymize(&ds, &GloveConfig { pruning: true, ..base })
-            .expect("pruned run succeeds");
-        let unpruned = anonymize(&ds, &GloveConfig { pruning: false, ..base })
-            .expect("unpruned run succeeds");
+        let pruned = anonymize(&ds, &base).expect("pruned run succeeds");
+        let unpruned = oracle::anonymize(&ds, &base).expect("unpruned run succeeds");
         prop_assert_eq!(serialize(&pruned.dataset), serialize(&unpruned.dataset));
         prop_assert_eq!(pruned.stats.merges, unpruned.stats.merges);
     }

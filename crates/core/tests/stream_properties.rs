@@ -193,14 +193,14 @@ proptest! {
     }
 
     /// Pruning inside streamed epochs is exact, matching the batch
-    /// guarantee: pruned and unpruned epochs serialize identically.
+    /// guarantee: pruned epochs serialize identically to the full-matrix
+    /// oracle's.
     #[test]
     fn streamed_pruning_is_exact(ds in arb_dataset(4..=10)) {
-        let mut config = stream_config(480, CarryPolicy::Fresh, UnderKPolicy::Suppress);
+        let config = stream_config(480, CarryPolicy::Fresh, UnderKPolicy::Suppress);
         let pruned = run_stream(ds.name.clone(), events_of(&ds), config)
             .expect("pruned run succeeds");
-        config.glove.pruning = false;
-        let unpruned = run_stream(ds.name.clone(), events_of(&ds), config)
+        let unpruned = glove_core::oracle::run_stream(ds.name.clone(), events_of(&ds), config)
             .expect("unpruned run succeeds");
         prop_assert_eq!(pruned.epochs.len(), unpruned.epochs.len());
         for (a, b) in pruned.epochs.iter().zip(&unpruned.epochs) {
@@ -210,6 +210,9 @@ proptest! {
                 "pruning changed a streamed epoch"
             );
         }
-        prop_assert!(pruned.stats.pairs_computed <= unpruned.stats.pairs_computed);
+        prop_assert_eq!(
+            pruned.stats.pairs_computed + pruned.stats.pairs_pruned,
+            unpruned.stats.pairs_computed
+        );
     }
 }

@@ -2,7 +2,10 @@
 //! frame to inline a tenant's full configuration.
 //!
 //! Parsing is *tolerant*: every field defaults to the library default when
-//! absent, so a minimal `{"k": 3}` glove section is a valid configuration.
+//! absent, so a minimal `{"k": 3}` glove section is a valid configuration,
+//! and unknown keys are ignored — among them the retired engine switches
+//! `pruning`, `cascade` and `columnar` that older clients still send (the
+//! engine now has one path, so they select nothing).
 //! Serialization is total — `to_value` followed by `from_value` returns
 //! the identical configuration (f64 fields survive because the JSON
 //! renderer prints shortest-round-trip floats). Validation is *not* done
@@ -137,9 +140,6 @@ pub fn glove_config_to_value(c: &GloveConfig) -> JsonValue {
                 ])
             }),
         ),
-        ("pruning", JsonValue::Bool(c.pruning)),
-        ("cascade", JsonValue::Bool(c.cascade)),
-        ("columnar", JsonValue::Bool(c.columnar)),
     ])
 }
 
@@ -219,9 +219,6 @@ pub fn glove_config_from_value(v: &JsonValue) -> Result<GloveConfig, String> {
             }),
         };
     }
-    config.pruning = bool_field(v, "pruning", config.pruning)?;
-    config.cascade = bool_field(v, "cascade", config.cascade)?;
-    config.columnar = bool_field(v, "columnar", config.columnar)?;
     Ok(config)
 }
 
@@ -256,9 +253,6 @@ mod tests {
                 reshape: false,
                 threads: 3,
                 shard: Some(ShardPolicy::two_level(9)),
-                pruning: false,
-                cascade: false,
-                columnar: false,
             },
         };
         let back = stream_config_from_value(&stream_config_to_value(&c)).unwrap();
@@ -271,7 +265,32 @@ mod tests {
         let c = stream_config_from_value(&v).unwrap();
         assert_eq!(c.glove.k, 3);
         assert_eq!(c.window_min, StreamConfig::default().window_min);
-        assert!(c.glove.pruning);
+    }
+
+    /// Older clients still send the retired engine switches; they must
+    /// decode to exactly the configuration the same JSON without them
+    /// yields, whatever their values.
+    #[test]
+    fn retired_engine_keys_are_ignored() {
+        let plain = r#"{"window_min": 720, "glove": {"k": 4, "threads": 1}}"#;
+        let expected = stream_config_from_value(&JsonValue::parse(plain).unwrap()).unwrap();
+        for retired in [
+            r#""pruning": false, "cascade": false, "columnar": false"#,
+            r#""pruning": true, "cascade": true, "columnar": true"#,
+            r#""pruning": "off", "cascade": 0, "columnar": null"#,
+        ] {
+            let text =
+                format!(r#"{{"window_min": 720, "glove": {{"k": 4, "threads": 1, {retired}}}}}"#);
+            let v = JsonValue::parse(&text).unwrap();
+            assert_eq!(stream_config_from_value(&v).unwrap(), expected, "{text}");
+        }
+        let rendered = stream_config_to_value(&expected).render();
+        for key in ["pruning", "cascade", "columnar"] {
+            assert!(
+                !rendered.contains(key),
+                "{key} is still written: {rendered}"
+            );
+        }
     }
 
     #[test]

@@ -33,6 +33,12 @@
 //! | `RECONFIG` | c → s     | swap the tenant's policy plane (applies at the next window boundary) |
 //! | `RECONFIG_OK` | s → c  | policy plane installed; echoes the rule count |
 //!
+//! The JSON payloads of `HELLO` and `RECONFIG` are decoded leniently:
+//! unknown keys are ignored. The glove section's `pruning`, `cascade` and
+//! `columnar` keys are retired — the engine has a single path — and are
+//! neither written nor read; a client that still sends them gets the same
+//! configuration as without them.
+//!
 //! Decoding is total: any byte sequence either parses or yields a
 //! [`WireError`] carrying the byte offset (relative to the frame start)
 //! where decoding failed — never a panic. The proptests in

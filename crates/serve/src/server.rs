@@ -26,7 +26,7 @@ use crate::protocol::{read_frame, write_frame, ErrorCode, Frame};
 use crate::session::{EpochWriteFn, Offer, PushSink, Session, SessionConfig};
 use glove_core::api::RunReport;
 use glove_core::policy::PolicyPlane;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
@@ -109,7 +109,11 @@ struct ServerState {
     tenants: Mutex<HashSet<String>>,
     reports: Mutex<Vec<RunReport>>,
     failures: Mutex<Vec<(String, String)>>,
-    conns: Mutex<Vec<TcpStream>>,
+    /// Socket clones of the open connections, by accept sequence number,
+    /// so shutdown can half-close them. A connection deregisters when its
+    /// thread ends, keeping the daemon's fd count bounded by the live
+    /// connections.
+    conns: Mutex<HashMap<u64, TcpStream>>,
     shutdown: AtomicBool,
 }
 
@@ -135,7 +139,7 @@ impl ServerState {
     /// Half-closes every registered connection socket so blocked readers
     /// see EOF and finalize their sessions.
     fn nudge_connections(&self) {
-        for conn in self.conns.lock().expect("conn registry").iter() {
+        for conn in self.conns.lock().expect("conn registry").values() {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
     }
@@ -184,7 +188,7 @@ impl Server {
                 tenants: Mutex::new(HashSet::new()),
                 reports: Mutex::new(Vec::new()),
                 failures: Mutex::new(Vec::new()),
-                conns: Mutex::new(Vec::new()),
+                conns: Mutex::new(HashMap::new()),
                 shutdown: AtomicBool::new(false),
             }),
         })
@@ -198,25 +202,40 @@ impl Server {
     /// Runs the accept loop until a `SHUTDOWN` frame arrives, then drains
     /// every session and returns the lifetime summary.
     pub fn run(self) -> ServerSummary {
-        let mut joins = Vec::new();
-        for incoming in self.listener.incoming() {
+        let mut joins: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        for (id, incoming) in (0u64..).zip(self.listener.incoming()) {
             if self.state.shutdown.load(Ordering::SeqCst) {
                 break;
+            }
+            // Reap the threads of connections that already ended, so a
+            // long-lived daemon holds one handle per live connection.
+            let (finished, live) = joins.into_iter().partition(|j| j.is_finished());
+            joins = live;
+            for join in finished {
+                let _ = join.join();
             }
             let stream = match incoming {
                 Ok(s) => s,
                 Err(_) => continue,
             };
             if let Ok(clone) = stream.try_clone() {
-                self.state.conns.lock().expect("conn registry").push(clone);
+                self.state
+                    .conns
+                    .lock()
+                    .expect("conn registry")
+                    .insert(id, clone);
             }
             let state = Arc::clone(&self.state);
             match std::thread::Builder::new()
                 .name("glove-serve-conn".to_string())
-                .spawn(move || handle_connection(stream, state))
-            {
+                .spawn(move || {
+                    handle_connection(stream, &state);
+                    state.conns.lock().expect("conn registry").remove(&id);
+                }) {
                 Ok(handle) => joins.push(handle),
-                Err(_) => continue,
+                Err(_) => {
+                    self.state.conns.lock().expect("conn registry").remove(&id);
+                }
             }
         }
         for join in joins {
@@ -265,7 +284,7 @@ fn error_frame(code: ErrorCode, message: impl Into<String>) -> Frame {
     }
 }
 
-fn handle_connection(stream: TcpStream, state: Arc<ServerState>) {
+fn handle_connection(stream: TcpStream, state: &ServerState) {
     let _ = stream.set_nodelay(true);
     let mut reader = match stream.try_clone() {
         Ok(clone) => BufReader::new(clone),
@@ -354,7 +373,7 @@ fn handle_connection(stream: TcpStream, state: Arc<ServerState>) {
                         reply(&writer, &Frame::Busy { accepted, retry_ms })
                     }
                     Offer::Dead => {
-                        let cause = finalize(&mut session, &state)
+                        let cause = finalize(&mut session, state)
                             .and_then(Result::err)
                             .unwrap_or_else(|| "engine worker died".to_string());
                         reply(&writer, &error_frame(ErrorCode::Engine, cause))
@@ -385,7 +404,7 @@ fn handle_connection(stream: TcpStream, state: Arc<ServerState>) {
                 Some(open) => {
                     let tenant = open.metrics().tenant().to_string();
                     session = Some(open);
-                    match finalize(&mut session, &state).expect("session present") {
+                    match finalize(&mut session, state).expect("session present") {
                         Ok(report) => reply(
                             &writer,
                             &Frame::Report {
@@ -414,12 +433,12 @@ fn handle_connection(stream: TcpStream, state: Arc<ServerState>) {
                 },
             },
             Frame::Close => {
-                let _ = finalize(&mut session, &state);
+                let _ = finalize(&mut session, state);
                 let _ = reply(&writer, &Frame::Bye);
                 break;
             }
             Frame::Shutdown => {
-                let _ = finalize(&mut session, &state);
+                let _ = finalize(&mut session, state);
                 state.shutdown.store(true, Ordering::SeqCst);
                 let _ = reply(&writer, &Frame::Bye);
                 state.nudge_connections();
@@ -438,5 +457,5 @@ fn handle_connection(stream: TcpStream, state: Arc<ServerState>) {
             break; // peer gone; finalize below
         }
     }
-    let _ = finalize(&mut session, &state);
+    let _ = finalize(&mut session, state);
 }
